@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,28 +53,27 @@ type SchemaProvider interface {
 }
 
 // Cache-key separators. Index keys are built from SQL identifiers and
-// "(),", so the ASCII unit/record separators can never occur inside
-// them; they make the concatenated key unambiguous (no two distinct
-// relevant-configuration states can collide).
+// "(),", so these ASCII control bytes can never occur inside them; they
+// make the concatenated key unambiguous (no two distinct relevant-index
+// lists can collide).
 const (
-	keySepIndex = '\x1f' // terminates each index key
-	keySepTable = '\x1e' // terminates each table group
+	keySepIndex = '\x1f' // terminates each relevant index key
 	keySepNS    = '\x1d' // terminates the checker's key namespace
 )
-
-// checkerQuery is per-query metadata precomputed once so the hot
-// cache-key path does no parsing or formatting.
-type checkerQuery struct {
-	prefix string   // "q<idx>|"
-	tables []string // distinct referenced tables, FROM order
-}
 
 // OptimizerChecker implements the optimizer-estimated cost evaluation
 // (§3.5.3): Cost(W, C) is computed by invoking the query optimizer
 // against the hypothetical configuration, and the constraint is
-// Cost(W, C') ≤ U. Per-query costs are cached keyed by the subset of
+// Cost(W, C') ≤ U. Per-query costs are cached keyed by the indexes of
 // the configuration relevant to the query (the paper's "cost needs to
-// be obtained only for relevant queries" shortcut).
+// be obtained only for relevant queries" shortcut): the query's
+// namespace/position prefix followed by the key of every relevant
+// index, in configuration order. With a prepared workload an index is
+// relevant when PreparedQuery.IndexRelevant says it can contribute an
+// access path, and a miss costs the query against those indexes alone;
+// without one, every index on a table the query references is relevant
+// and a miss optimizes the query against the whole configuration.
+// Relevance is computed once per distinct index and memoized.
 //
 // The checker is safe for concurrent use: the cache is sharded and
 // deduplicates in-flight computations so two workers never optimize
@@ -104,11 +104,12 @@ type OptimizerChecker struct {
 	KeyNamespace string
 
 	// Prepared, when non-nil, must be W prepared against the Server's
-	// statistics (optimizer.PrepareWorkload); cache misses then cost
-	// queries through the allocation-free prepared fast path instead of
-	// Server.Optimize, with bit-identical totals. Set before the first
-	// evaluation; requires Server to implement PreparedCostServer
-	// (optimizer.Optimizer does).
+	// statistics (optimizer.PrepareWorkload); cache keys then hold only
+	// the indexes each query can use, and misses cost the query against
+	// those indexes through the allocation-free prepared fast path
+	// instead of Server.Optimize, with bit-identical totals. Set before
+	// the first evaluation; requires Server to implement
+	// PreparedCostServer (optimizer.Optimizer does).
 	Prepared *optimizer.PreparedWorkload
 
 	// Batch, when non-nil, offloads cache-missed per-query costings to
@@ -122,11 +123,15 @@ type OptimizerChecker struct {
 	// where a batch was dispatched. Set before the first evaluation.
 	Batch BatchCostServer
 
-	once    sync.Once
-	cache   *costcache.Cache
-	sem     chan struct{} // tokens for actual optimizer invocations
-	queries []checkerQuery
-	prepSrv PreparedCostServer
+	once     sync.Once
+	cache    *costcache.Cache
+	sem      chan struct{} // tokens for actual optimizer invocations
+	prefixes []string      // per query: namespace, keySepNS, "q<idx>|"
+	byTable  map[string][]int32
+	prepSrv  PreparedCostServer
+
+	relMu sync.Mutex
+	rel   map[string][]int32 // index key -> relevant query positions, ascending
 
 	checks   atomic.Int64 // constraint checks (Accepts/WorkloadCost calls)
 	optCalls atomic.Int64 // actual Server.Optimize invocations
@@ -158,8 +163,8 @@ func NewOptimizerChecker(server CostServer, w *sql.Workload, baseCost, slackPct 
 	}
 }
 
-// lazyInit builds the cache, the worker semaphore and the per-query
-// key metadata on first use.
+// lazyInit builds the cache, the worker semaphore, the per-query key
+// prefixes and the table -> referencing-queries map on first use.
 func (c *OptimizerChecker) lazyInit() {
 	c.once.Do(func() {
 		if c.Cache != nil {
@@ -177,11 +182,13 @@ func (c *OptimizerChecker) lazyInit() {
 				c.prepSrv = ps
 			}
 		}
-		c.queries = make([]checkerQuery, len(c.W.Queries))
+		c.prefixes = make([]string, len(c.W.Queries))
+		c.byTable = make(map[string][]int32)
+		c.rel = make(map[string][]int32)
 		for qi, q := range c.W.Queries {
-			c.queries[qi] = checkerQuery{
-				prefix: fmt.Sprintf("%s%cq%d|", c.KeyNamespace, keySepNS, qi),
-				tables: q.Stmt.TablesReferenced(),
+			c.prefixes[qi] = fmt.Sprintf("%s%cq%d|", c.KeyNamespace, keySepNS, qi)
+			for _, t := range q.Stmt.TablesReferenced() {
+				c.byTable[t] = append(c.byTable[t], int32(qi))
 			}
 		}
 	})
@@ -241,57 +248,17 @@ func (c *OptimizerChecker) WorkloadCostContext(ctx context.Context, cfg *Configu
 		return 0, err
 	}
 
-	groups := c.groupKeysByTable(cfg)
-	nq := len(c.W.Queries)
 	sc := checkScratchPool.Get().(*checkScratch)
-	defer func() { checkScratchPool.Put(sc) }()
-	if cap(sc.keys) < nq {
-		sc.keys = make([]string, nq)
+	defer checkScratchPool.Put(sc)
+	keys := c.buildKeys(sc, cfg)
+	nq := len(keys)
+	if cap(sc.costs) < nq {
 		sc.costs = make([]float64, nq)
 	}
-	keys, costs := sc.keys[:nq], sc.costs[:nq]
+	costs := sc.costs[:nq]
 	misses := sc.misses[:0]
-
-	// Build every query key into one shared buffer (one allocation for
-	// the backing string instead of one per query); keys are substrings.
-	// A query's key is its prefix plus its tables' groups in FROM order,
-	// each group terminated by keySepTable, so distinct relevant-
-	// configuration states can never produce the same key.
-	size := 0
-	for qi := range c.queries {
-		q := &c.queries[qi]
-		size += len(q.prefix) + len(q.tables)
-		for _, t := range q.tables {
-			size += len(groups[t])
-		}
-	}
-	if cap(sc.buf) < size {
-		sc.buf = make([]byte, 0, size)
-	}
-	buf := sc.buf[:0]
-	for qi := range c.queries {
-		q := &c.queries[qi]
-		buf = append(buf, q.prefix...)
-		for _, t := range q.tables {
-			buf = append(buf, groups[t]...)
-			buf = append(buf, keySepTable)
-		}
-	}
-	sc.buf = buf
-	all := string(buf)
-	off := 0
-	for qi := range c.queries {
-		q := &c.queries[qi]
-		n := len(q.prefix)
-		for _, t := range q.tables {
-			n += len(groups[t]) + 1
-		}
-		keys[qi] = all[off : off+n]
-		off += n
-	}
-
-	for qi := range c.W.Queries {
-		if v, ok := c.cache.Get(keys[qi]); ok {
+	for qi, key := range keys {
+		if v, ok := c.cache.Get(key); ok {
 			costs[qi] = v
 		} else {
 			misses = append(misses, qi)
@@ -303,8 +270,17 @@ func (c *OptimizerChecker) WorkloadCostContext(ctx context.Context, cfg *Configu
 		misses = misses[:0]
 	}
 	if len(misses) > 0 {
-		ocfg := optimizer.Configuration(cfg.Defs())
-		eval := func(qi int) error {
+		// Prepared: each missed query is costed against its relevant
+		// indexes alone, gathered into one pooled buffer. Unprepared:
+		// Optimize sees the whole configuration.
+		var full optimizer.Configuration
+		if c.prepSrv != nil {
+			sc.gatherRelevantDefs(cfg, misses)
+		} else {
+			full = optimizer.Configuration(cfg.Defs())
+		}
+		eval := func(j int) error {
+			qi := misses[j]
 			// Clone the key on the miss path so a cached entry pins only
 			// its own bytes, not the whole per-check key buffer.
 			v, err := c.cache.Do(strings.Clone(keys[qi]), func() (float64, error) {
@@ -319,9 +295,9 @@ func (c *OptimizerChecker) WorkloadCostContext(ctx context.Context, cfg *Configu
 				}
 				c.optCalls.Add(1)
 				if c.prepSrv != nil {
-					return c.prepSrv.CostPrepared(c.Prepared.Queries[qi], ocfg)
+					return c.prepSrv.CostPrepared(c.Prepared.Queries[qi], sc.missDefs(j))
 				}
-				plan, err := c.Server.Optimize(c.W.Queries[qi].Stmt, ocfg)
+				plan, err := c.Server.Optimize(c.W.Queries[qi].Stmt, full)
 				if err != nil {
 					return 0, err
 				}
@@ -333,7 +309,7 @@ func (c *OptimizerChecker) WorkloadCostContext(ctx context.Context, cfg *Configu
 			costs[qi] = v
 			return nil
 		}
-		if err := c.evalMisses(misses, eval); err != nil {
+		if err := c.evalMisses(len(misses), eval); err != nil {
 			return 0, err
 		}
 	}
@@ -386,43 +362,26 @@ func (c *OptimizerChecker) RemoteStats() (batches, items, fallbacks int64) {
 	return c.remoteBatches.Load(), c.remoteItems.Load(), c.remoteFallbacks.Load()
 }
 
-// queryKey builds the cache key for query qi from a configuration's
-// per-table groups: the query's namespace prefix followed by its
-// tables' groups in FROM order, each terminated by keySepTable. The
-// hot path batches all queries' keys into one pooled buffer
-// (WorkloadCostContext) with this exact layout; the method states the
-// format in one place for tests.
-func (c *OptimizerChecker) queryKey(qi int, groups map[string]string) string {
-	q := &c.queries[qi]
-	var sb strings.Builder
-	sb.WriteString(q.prefix)
-	for _, t := range q.tables {
-		sb.WriteString(groups[t])
-		sb.WriteByte(keySepTable)
-	}
-	return sb.String()
-}
-
-// evalMisses runs eval for every missed query index, concurrently when
+// evalMisses runs eval for miss positions 0..n-1, concurrently when
 // Parallelism > 1. On failure it returns the error of the
-// smallest-indexed failing query, matching serial evaluation order.
+// smallest-positioned failing miss, matching serial evaluation order.
 // Each evaluation runs through safeEval, so a panicking cost server
 // fails one constraint check (as a typed *PanicError) instead of
 // killing a worker goroutine — and with it the process.
-func (c *OptimizerChecker) evalMisses(misses []int, eval func(int) error) error {
+func (c *OptimizerChecker) evalMisses(n int, eval func(int) error) error {
 	workers := c.Parallelism
-	if workers > len(misses) {
-		workers = len(misses)
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for _, qi := range misses {
-			if err := safeEval(eval, qi); err != nil {
+		for j := 0; j < n; j++ {
+			if err := safeEval(eval, j); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	errs := make([]error, len(misses))
+	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -430,11 +389,11 @@ func (c *OptimizerChecker) evalMisses(misses []int, eval func(int) error) error 
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(misses) {
+				j := int(next.Add(1)) - 1
+				if j >= n {
 					return
 				}
-				errs[i] = safeEval(eval, misses[i])
+				errs[j] = safeEval(eval, j)
 			}
 		}()
 	}
@@ -451,92 +410,141 @@ func (c *OptimizerChecker) evalMisses(misses []int, eval func(int) error) error 
 // *PanicError. Crucially this runs on the goroutine that calls eval —
 // parallel costing workers included — which is the only place a
 // recover can catch it.
-func safeEval(eval func(int) error, qi int) (err error) {
+func safeEval(eval func(int) error, j int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return eval(qi)
+	return eval(j)
 }
 
-// checkScratch is pooled per-constraint-check state: the per-query key
-// and cost arrays plus the shared key-building buffer. One constraint
+// checkScratch is pooled per-constraint-check state. One constraint
 // check allocates one backing string for all query keys (plus cache
 // entries for misses) instead of a string per query.
 type checkScratch struct {
+	rels   [][]int32 // per configuration index: relevant query positions
+	ends   []int     // per query: end offset of its key in buf
+	cur    []int     // per query: write offset while filling buf
+	buf    []byte
 	keys   []string
 	costs  []float64
 	misses []int
-	buf    []byte
+	defs   []catalog.IndexDef // missed queries' relevant defs, back to back
+	defEnd []int              // per miss: end offset of its defs
 }
 
 var checkScratchPool = sync.Pool{New: func() any { return new(checkScratch) }}
 
-// groupScratch is pooled per-call state for groupKeysByTable: a shared
-// byte buffer and per-table slot bookkeeping replace the per-call map
-// of strings.Builders, so a constraint check allocates one backing
-// string for all groups plus the returned map.
-type groupScratch struct {
-	buf  []byte
-	slot map[string]int // table -> index into tabs
-	tabs []tableSlot
-}
-
-// tableSlot tracks one table's group within the shared buffer.
-type tableSlot struct {
-	size, off, cur int
-}
-
-var groupScratchPool = sync.Pool{New: func() any {
-	return &groupScratch{slot: make(map[string]int)}
-}}
-
-// groupKeysByTable concatenates the configuration's index keys per
-// table (configuration order, each key terminated by keySepIndex), so
-// building a query's cache key is a few map lookups instead of a scan
-// over every index for every query. Groups are substrings of a single
-// shared backing string built through a pooled scratch buffer.
-func (c *OptimizerChecker) groupKeysByTable(cfg *Configuration) map[string]string {
-	sc := groupScratchPool.Get().(*groupScratch)
-	// Pass 1: per-table group sizes (index keys are memoized on Index).
+// buildKeys returns every query's cache key under cfg: the query's
+// prefix followed by the key of each configuration index relevant to
+// it, in configuration order, each terminated by keySepIndex. One
+// lookup per configuration index in the relevance memo gives the
+// queries it fans out to; the keys are substrings of one backing
+// string built in the pooled buffer. sc.rels is left holding each
+// index's relevant queries for gatherRelevantDefs.
+func (c *OptimizerChecker) buildKeys(sc *checkScratch, cfg *Configuration) []string {
+	nq := len(c.prefixes)
+	sc.rels = sc.rels[:0]
 	for _, ix := range cfg.Indexes {
-		i, ok := sc.slot[ix.Def.Table]
-		if !ok {
-			i = len(sc.tabs)
-			sc.tabs = append(sc.tabs, tableSlot{})
-			sc.slot[ix.Def.Table] = i
+		sc.rels = append(sc.rels, c.relevantQueries(ix))
+	}
+	if cap(sc.ends) < nq {
+		sc.ends = make([]int, nq)
+		sc.cur = make([]int, nq)
+		sc.keys = make([]string, nq)
+	}
+	ends, cur, keys := sc.ends[:nq], sc.cur[:nq], sc.keys[:nq]
+	// Pass 1: per-query key lengths, then running end offsets.
+	for qi, p := range c.prefixes {
+		ends[qi] = len(p)
+	}
+	for i, ix := range cfg.Indexes {
+		n := len(ix.Key()) + 1
+		for _, qi := range sc.rels[i] {
+			ends[qi] += n
 		}
-		sc.tabs[i].size += len(ix.Key()) + 1
 	}
 	total := 0
-	for i := range sc.tabs {
-		sc.tabs[i].off = total
-		sc.tabs[i].cur = total
-		total += sc.tabs[i].size
+	for qi := range ends {
+		total += ends[qi]
+		ends[qi] = total
 	}
-	// Pass 2: copy each key into its table's region, configuration order.
+	// Pass 2: prefixes, then each index key into every query it is
+	// relevant to, configuration order.
 	if cap(sc.buf) < total {
 		sc.buf = make([]byte, total)
 	}
 	buf := sc.buf[:total]
-	for _, ix := range cfg.Indexes {
-		i := sc.slot[ix.Def.Table]
-		n := copy(buf[sc.tabs[i].cur:], ix.Key())
-		buf[sc.tabs[i].cur+n] = keySepIndex
-		sc.tabs[i].cur += n + 1
+	start := 0
+	for qi, p := range c.prefixes {
+		cur[qi] = start + copy(buf[start:], p)
+		start = ends[qi]
+	}
+	for i, ix := range cfg.Indexes {
+		k := ix.Key()
+		for _, qi := range sc.rels[i] {
+			n := copy(buf[cur[qi]:], k)
+			buf[cur[qi]+n] = keySepIndex
+			cur[qi] += n + 1
+		}
 	}
 	all := string(buf)
-	groups := make(map[string]string, len(sc.tabs))
-	for t, i := range sc.slot {
-		groups[t] = all[sc.tabs[i].off : sc.tabs[i].off+sc.tabs[i].size]
+	start = 0
+	for qi := range keys {
+		keys[qi] = all[start:ends[qi]]
+		start = ends[qi]
 	}
-	for t := range sc.slot {
-		delete(sc.slot, t)
+	return keys
+}
+
+// relevantQueries returns the ascending positions of the queries ix is
+// relevant to, memoized by index key. Only queries referencing ix's
+// table are candidates; with a prepared workload each is kept when
+// PreparedQuery.IndexRelevant holds, without one all are kept.
+func (c *OptimizerChecker) relevantQueries(ix *Index) []int32 {
+	k := ix.Key()
+	c.relMu.Lock()
+	qs, ok := c.rel[k]
+	c.relMu.Unlock()
+	if ok {
+		return qs
 	}
-	sc.tabs = sc.tabs[:0]
-	groupScratchPool.Put(sc)
-	return groups
+	for _, qi := range c.byTable[ix.Def.Table] {
+		if c.prepSrv == nil || c.Prepared.Queries[qi].IndexRelevant(ix.Def.Table, ix.Def.Columns) {
+			qs = append(qs, qi)
+		}
+	}
+	c.relMu.Lock()
+	c.rel[k] = qs
+	c.relMu.Unlock()
+	return qs
+}
+
+// gatherRelevantDefs collects, for each missed query, the definitions
+// of the configuration indexes relevant to it (configuration order)
+// into sc.defs; missDefs(j) reads miss j's span back.
+func (sc *checkScratch) gatherRelevantDefs(cfg *Configuration, misses []int) {
+	defs, defEnd := sc.defs[:0], sc.defEnd[:0]
+	for _, qi := range misses {
+		for i, ix := range cfg.Indexes {
+			if _, ok := slices.BinarySearch(sc.rels[i], int32(qi)); ok {
+				defs = append(defs, ix.Def)
+			}
+		}
+		defEnd = append(defEnd, len(defs))
+	}
+	sc.defs, sc.defEnd = defs, defEnd
+}
+
+// missDefs returns miss j's relevant definitions (see
+// gatherRelevantDefs).
+func (sc *checkScratch) missDefs(j int) optimizer.Configuration {
+	lo := 0
+	if j > 0 {
+		lo = sc.defEnd[j-1]
+	}
+	return optimizer.Configuration(sc.defs[lo:sc.defEnd[j]])
 }
 
 // NoCostChecker implements the No-Cost model (§3.5.1): a merged index

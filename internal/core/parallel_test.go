@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"indexmerge/internal/optimizer"
 )
 
 const testParallelism = 8
@@ -157,9 +160,10 @@ func TestCheckerCounterSplit(t *testing.T) {
 	}
 }
 
-// TestWorkloadCostConcurrentStress hammers one checker from many
-// goroutines across alternating configurations; every result must be
-// bit-identical to a serial evaluation with a fresh checker.
+// TestWorkloadCostConcurrentStress hammers one checker, unprepared and
+// then prepared, from many goroutines across alternating
+// configurations; every result must be bit-identical to a serial
+// evaluation with a fresh unprepared checker.
 func TestWorkloadCostConcurrentStress(t *testing.T) {
 	f := newSearchFixture(t)
 
@@ -184,77 +188,104 @@ func TestWorkloadCostConcurrentStress(t *testing.T) {
 		want[i] = v
 	}
 
-	check := f.checker(0.10)
-	check.Parallelism = testParallelism
-	const workers = 16
-	const rounds = 20
-	errCh := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				i := (w + r) % len(configs)
-				v, err := check.WorkloadCost(configs[i])
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if v != want[i] {
-					t.Errorf("config %d: concurrent cost %v != serial %v", i, v, want[i])
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+	// The prepared checker fills its relevance memo from all workers
+	// at once and costs misses against relevant indexes only; its
+	// totals must still match the unprepared serial ones.
+	pw, err := optimizer.PrepareWorkload(f.w, f.db)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := check.Evaluations(), int64(workers*rounds); got != want {
-		t.Errorf("Evaluations = %d, want %d", got, want)
+	for _, prepared := range []bool{false, true} {
+		check := f.checker(0.10)
+		check.Parallelism = testParallelism
+		if prepared {
+			check.Prepared = pw
+		}
+		const workers = 16
+		const rounds = 20
+		errCh := make(chan error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					i := (w + r) % len(configs)
+					v, err := check.WorkloadCost(configs[i])
+					if err != nil {
+						errCh <- err
+						return
+					}
+					if v != want[i] {
+						t.Errorf("prepared=%v config %d: concurrent cost %v != serial %v", prepared, i, v, want[i])
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errCh)
+		for err := range errCh {
+			t.Fatal(err)
+		}
+		if got, want := check.Evaluations(), int64(workers*rounds); got != want {
+			t.Errorf("prepared=%v: Evaluations = %d, want %d", prepared, got, want)
+		}
 	}
 }
 
 // TestQueryKeyUnambiguous verifies the cache key's injectivity
-// contract: two configurations share a query's key exactly when their
-// relevant subsets (indexes on the query's tables, in configuration
-// order) coincide, and the separator bytes can never occur inside an
-// index key.
+// contract: two configurations share a query's key exactly when the
+// query's relevant-index lists (configuration order) coincide, keys
+// from different namespaces never collide, and the separator bytes can
+// never occur inside an index key. It covers both relevance rules:
+// table-level (unprepared) and PreparedQuery.IndexRelevant (prepared),
+// over every subset of the fixture's indexes plus an index no query
+// can use, in both orders.
 func TestQueryKeyUnambiguous(t *testing.T) {
 	f := newSearchFixture(t)
-	check := f.checker(0.10)
-	check.lazyInit()
-
-	for _, ix := range f.initial.Indexes {
-		if strings.ContainsRune(ix.Key(), keySepIndex) || strings.ContainsRune(ix.Key(), keySepTable) {
+	pw, err := optimizer.PrepareWorkload(f.w, f.db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := append(append([]*Index(nil), f.initial.Indexes...), NewIndex(def("fact", "pad")))
+	for _, ix := range pool {
+		if strings.ContainsRune(ix.Key(), keySepIndex) || strings.ContainsRune(ix.Key(), keySepNS) {
 			t.Fatalf("index key %q contains a reserved separator byte", ix.Key())
 		}
 	}
 
-	// All subsets of the five fixture indexes.
 	var configs []*Configuration
-	n := f.initial.Len()
+	n := len(pool)
 	for mask := 0; mask < 1<<n; mask++ {
 		var ixs []*Index
 		for i := 0; i < n; i++ {
 			if mask&(1<<i) != 0 {
-				ixs = append(ixs, f.initial.Indexes[i])
+				ixs = append(ixs, pool[i])
 			}
 		}
-		configs = append(configs, &Configuration{Indexes: ixs})
+		rev := make([]*Index, len(ixs))
+		for i, ix := range ixs {
+			rev[len(ixs)-1-i] = ix
+		}
+		configs = append(configs, &Configuration{Indexes: ixs}, &Configuration{Indexes: rev})
 	}
 
-	relevant := func(cfg *Configuration, tables []string) string {
-		inQ := make(map[string]bool, len(tables))
-		for _, t := range tables {
-			inQ[t] = true
-		}
+	// relevant renders query qi's relevant-index list under cfg,
+	// computed independently of the checker's memo.
+	relevant := func(prepared bool, qi int, cfg *Configuration) string {
+		tables := f.w.Queries[qi].Stmt.TablesReferenced()
 		var sb strings.Builder
 		for _, ix := range cfg.Indexes {
-			if inQ[ix.Def.Table] {
+			ok := false
+			if prepared {
+				ok = pw.Queries[qi].IndexRelevant(ix.Def.Table, ix.Def.Columns)
+			} else {
+				for _, tb := range tables {
+					ok = ok || tb == ix.Def.Table
+				}
+			}
+			if ok {
 				sb.WriteString(ix.Key())
 				sb.WriteByte(0)
 			}
@@ -262,30 +293,34 @@ func TestQueryKeyUnambiguous(t *testing.T) {
 		return sb.String()
 	}
 
-	for qi := range check.W.Queries {
-		tables := check.queries[qi].tables
-		byKey := make(map[string]string) // cache key -> relevant subset
-		for _, cfg := range configs {
-			key := check.queryKey(qi, check.groupKeysByTable(cfg))
-			rel := relevant(cfg, tables)
-			if prev, seen := byKey[key]; seen {
-				if prev != rel {
-					t.Fatalf("q%d: key collision between relevant subsets %q and %q", qi, prev, rel)
+	for _, prepared := range []bool{false, true} {
+		owner := make(map[string]string) // cache key -> namespace/query/relevant list
+		for _, ns := range []string{"", "a", "b", "a\x1dq1|"} {
+			check := f.checker(0.10)
+			check.KeyNamespace = ns
+			if prepared {
+				check.Prepared = pw
+			}
+			check.lazyInit()
+			byRel := make(map[string]string) // query/relevant list -> key
+			for _, cfg := range configs {
+				keys := check.buildKeys(new(checkScratch), cfg)
+				for qi, key := range keys {
+					rel := fmt.Sprintf("q%d|%s", qi, relevant(prepared, qi, cfg))
+					who := fmt.Sprintf("ns=%q %s", ns, rel)
+					if prev, seen := owner[key]; seen && prev != who {
+						t.Fatalf("prepared=%v: key collision between %q and %q", prepared, prev, who)
+					}
+					owner[key] = who
+					// The same relevant list must also map to the same key
+					// (cache hits across configurations differing only on
+					// indexes the query cannot use).
+					if prev, seen := byRel[rel]; seen && prev != key {
+						t.Fatalf("prepared=%v ns=%q: relevant list %q produced two keys", prepared, ns, rel)
+					}
+					byRel[rel] = key
 				}
-			} else {
-				byKey[key] = rel
 			}
-		}
-		// The same relevant subset must also map to the same key (cache
-		// hits across configurations differing only on other tables).
-		byRel := make(map[string]string)
-		for _, cfg := range configs {
-			key := check.queryKey(qi, check.groupKeysByTable(cfg))
-			rel := relevant(cfg, tables)
-			if prev, seen := byRel[rel]; seen && prev != key {
-				t.Fatalf("q%d: relevant subset %q produced two keys", qi, rel)
-			}
-			byRel[rel] = key
 		}
 	}
 }

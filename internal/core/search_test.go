@@ -358,6 +358,34 @@ func TestOptimizerCheckerCaching(t *testing.T) {
 	if extra > 1 {
 		t.Errorf("changing the dim index re-costed %d queries; only the join query references dim", extra)
 	}
+
+	// Prepared: keys hold only the indexes each query can use, so
+	// replacing a fact index no query can use with another one costs
+	// nothing, although every fact query references the table.
+	pw, err := optimizer.PrepareWorkload(f.w, f.db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep := f.checker(0.10)
+	prep.Prepared = pw
+	useless := NewIndex(def("fact", "pad"))
+	withUseless := &Configuration{Indexes: append(f.initial.Clone().Indexes, useless)}
+	want, err := prep.WorkloadCost(withUseless)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := withUseless.ReplacePair(useless, useless, NewIndex(def("fact", "pad", "m2")))
+	calls := prep.OptimizerCalls()
+	got, err := prep.WorkloadCost(swapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if extra := prep.OptimizerCalls() - calls; extra != 0 {
+		t.Errorf("replacing an index no query can use cost %d optimizer calls, want 0", extra)
+	}
+	if got != want {
+		t.Errorf("cost moved from %v to %v after swapping an unusable index", want, got)
+	}
 }
 
 func TestExternalCostModel(t *testing.T) {
