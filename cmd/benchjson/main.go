@@ -14,16 +14,6 @@
 // provably equal cost) — the compression is exact — and the report
 // records the wall-clock speedup.
 //
-// With -distrib, it runs the distributed costing benchmark
-// (BENCH_distrib.json): the same 10k-statement greedy merge under the
-// per-query prepared checker, once single-process and once with its
-// cache-miss waves sharded over a pool of in-process what-if workers,
-// with a simulated per-optimizer-call round trip injected at the
-// optimizer costing point (internal/faults ModeLatency) so the win of
-// overlapping worker streams is measurable on a single-CPU host. Both
-// runs must reach the identical final configuration — distribution
-// must leave no trace in results.
-//
 // With -overload, it runs the multi-tenant isolation benchmark
 // (BENCH_overload.json): one in-process idxmerged with per-tenant
 // quotas and a global memory budget serves a quiet tenant's
@@ -37,18 +27,15 @@
 //
 //	benchjson [-scale 0.5] [-queries 30] [-seed 1] [-o BENCH_optimizer.json]
 //	benchjson -workload [-statements 10000] [-o BENCH_workload.json]
-//	benchjson -distrib [-distrib-workers 4] [-rtt 200us] [-o BENCH_distrib.json]
 //	benchjson -overload [-requests 200] [-o BENCH_overload.json]
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"math/rand"
-	"net/http/httptest"
 	"os"
 	"runtime"
 	"testing"
@@ -56,11 +43,9 @@ import (
 
 	"indexmerge/internal/catalog"
 	"indexmerge/internal/core"
-	"indexmerge/internal/distrib"
 	"indexmerge/internal/engine"
 	"indexmerge/internal/exec"
 	"indexmerge/internal/experiments"
-	"indexmerge/internal/faults"
 	"indexmerge/internal/optimizer"
 	"indexmerge/internal/sql"
 	"indexmerge/internal/value"
@@ -71,22 +56,20 @@ import (
 // envInfo records where a checked-in benchmark ran, so numbers are
 // interpretable later (satellite: every BENCH_*.json carries it).
 type envInfo struct {
-	GoVersion   string `json:"go_version"`
-	GOOS        string `json:"goos"`
-	GOARCH      string `json:"goarch"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-	NumCPU      int    `json:"num_cpu"`
-	CostWorkers int    `json:"cost_workers"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
 }
 
-func captureEnv(costWorkers int) envInfo {
+func captureEnv() envInfo {
 	return envInfo{
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		CostWorkers: costWorkers,
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 	}
 }
 
@@ -141,25 +124,14 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed for data and workloads")
 	out := flag.String("o", "", "output file (default stdout)")
 	workloadMode := flag.Bool("workload", false, "run the large-workload compression benchmark instead")
-	statements := flag.Int("statements", 10000, "total statement count (weighted) for -workload and -distrib")
-	initialN := flag.Int("initial", 30, "initial configuration size for -workload and -distrib")
-	distribMode := flag.Bool("distrib", false, "run the distributed costing benchmark instead")
-	distribWorkers := flag.Int("distrib-workers", 4, "what-if worker count for -distrib")
-	rtt := flag.Duration("rtt", 200*time.Microsecond, "simulated per-optimizer-call round trip for -distrib")
+	statements := flag.Int("statements", 10000, "total statement count (weighted) for -workload")
+	initialN := flag.Int("initial", 30, "initial configuration size for -workload")
 	overloadMode := flag.Bool("overload", false, "run the multi-tenant noisy-neighbor benchmark instead")
 	requests := flag.Int("requests", 200, "quiet-tenant request count per phase for -overload")
 	flag.Parse()
 
 	if *workloadMode {
 		rep, err := runWorkloadBench(*scale, *seed, *statements, *initialN)
-		if err != nil {
-			fatal(err)
-		}
-		writeReport(rep, *out)
-		return
-	}
-	if *distribMode {
-		rep, err := runDistribBench(*scale, *seed, *statements, *initialN, *distribWorkers, *rtt)
 		if err != nil {
 			fatal(err)
 		}
@@ -187,7 +159,7 @@ func main() {
 		Seed       int64        `json:"seed"`
 		Cases      []caseResult `json:"cases"`
 		IndexUnion unionResult  `json:"index_union"`
-	}{Benchmark: "prepared-workload greedy candidate costing", Env: captureEnv(0), Scale: *scale, Seed: *seed}
+	}{Benchmark: "prepared-workload greedy candidate costing", Env: captureEnv(), Scale: *scale, Seed: *seed}
 
 	for _, bc := range cases {
 		cr, err := runCase(bc, experiments.LabOptions{Scale: *scale, WorkloadQueries: *queries, Seed: *seed})
@@ -363,7 +335,7 @@ func runWorkloadBench(scale float64, seed int64, statements, initialN int) (work
 	hits, misses, _ := p.TableStats()
 	rep := workloadReport{
 		Benchmark:           "template-compressed merge over a zipf-duplicated workload",
-		Env:                 captureEnv(0),
+		Env:                 captureEnv(),
 		Scale:               scale,
 		Seed:                seed,
 		Statements:          int(c.TotalFreq()),
@@ -383,193 +355,6 @@ func runWorkloadBench(scale float64, seed int64, statements, initialN int) (work
 	}
 	if comp.OptimizerCalls > 0 {
 		rep.OptimizerCallRatio = round2(float64(uncomp.OptimizerCalls) / float64(comp.OptimizerCalls))
-	}
-	return rep, nil
-}
-
-// distribVariant is one timed end-to-end merge of the distributed
-// benchmark: table construction, baseline costing and the full greedy
-// search, all under the injected per-optimizer-call round trip.
-type distribVariant struct {
-	Seconds         float64 `json:"seconds"`
-	OptimizerCalls  int64   `json:"optimizer_calls"`
-	CostEvals       int64   `json:"cost_evaluations"`
-	FinalIndexes    int     `json:"final_indexes"`
-	RemoteBatches   int64   `json:"remote_batches"`
-	RemoteItems     int64   `json:"remote_items"`
-	RemoteFallbacks int64   `json:"remote_fallbacks"`
-	signature       string
-	finalBytes      int64
-}
-
-// distribReport is the -distrib benchmark result (BENCH_distrib.json
-// is a checked-in run).
-type distribReport struct {
-	Benchmark          string         `json:"benchmark"`
-	Env                envInfo        `json:"env"`
-	Scale              float64        `json:"scale"`
-	Seed               int64          `json:"seed"`
-	Statements         int            `json:"statements"`
-	Entries            int            `json:"entries"`
-	Templates          int            `json:"templates"`
-	InitialIndexes     int            `json:"initial_indexes"`
-	Workers            int            `json:"workers"`
-	SimulatedRTTMicros float64        `json:"simulated_rtt_micros"`
-	Note               string         `json:"note"`
-	SingleProcess      distribVariant `json:"single_process"`
-	Distributed        distribVariant `json:"distributed"`
-	Speedup            float64        `json:"speedup"`
-	IdenticalFinal     bool           `json:"identical_final_configuration"`
-}
-
-// runDistribBench merges the 10k-statement workload under the
-// per-query prepared checker once single-process and once over a pool
-// of in-process what-if workers (forks of one frozen snapshot, served
-// over loopback HTTP).
-// A deterministic latency fault at the optimizer costing point
-// simulates the round trip a real remote optimizer call pays; the
-// distributed run overlaps those stalls across worker streams. The
-// fault is armed only around the timed merges, and both runs must
-// reach the identical final configuration.
-func runDistribBench(scale float64, seed int64, statements, initialN, workers int, rtt time.Duration) (distribReport, error) {
-	const baseQueries = 25
-	lab, err := experiments.NewSynthetic2Lab(experiments.LabOptions{
-		Scale: scale, WorkloadQueries: baseQueries, Seed: seed,
-	})
-	if err != nil {
-		return distribReport{}, err
-	}
-	dup := statements - baseQueries
-	if dup < 0 {
-		dup = 0
-	}
-	w, err := workload.Generate(lab.DB, workload.Options{
-		Class: workload.Complex, Disjunctions: true,
-		Queries: baseQueries, Duplication: dup, Seed: seed + 11,
-	})
-	if err != nil {
-		return distribReport{}, err
-	}
-	defs, err := lab.InitialConfiguration(w, initialN)
-	if err != nil {
-		return distribReport{}, err
-	}
-	initial := core.NewConfiguration(defs)
-	pw, err := lab.Opt.PrepareWorkload(w)
-	if err != nil {
-		return distribReport{}, err
-	}
-	seek, err := core.ComputeSeekCostsPrepared(lab.Opt, pw, initial)
-	if err != nil {
-		return distribReport{}, err
-	}
-	c := wscale.Compress(w)
-	const slack = 0.10
-
-	// The baseline workload cost is computed once, untimed and without
-	// the injected round trip: both variants start from the identical
-	// float and the timed region is exactly the search.
-	base, err := lab.Opt.WorkloadCostPrepared(pw, optimizer.Configuration(defs))
-	if err != nil {
-		return distribReport{}, err
-	}
-
-	// Worker fleet: forks of one frozen snapshot behind loopback HTTP,
-	// the same worker cmd/idxmergew serves.
-	snap := lab.DB.Snapshot()
-	urls := make([]string, workers)
-	servers := make([]*httptest.Server, workers)
-	for i := range urls {
-		servers[i] = httptest.NewServer(distrib.NewWorker(snap.Fork()).Handler())
-		urls[i] = servers[i].URL
-	}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-	pool := distrib.NewPool(urls, distrib.Options{})
-	binding, err := pool.Bind(context.Background(), "bench", lab.DB.Fingerprint(), w, len(c.Templates))
-	if err != nil {
-		return distribReport{}, err
-	}
-
-	// run executes one cold greedy search — fresh per-query what-if
-	// cache — with the RTT fault armed for exactly that window. The
-	// remote unit is a single query costing, so every cache-miss wave
-	// shards cleanly across workers.
-	run := func(batch core.BatchCostServer) (distribVariant, error) {
-		faults.Install(faults.Rule{
-			ID: "bench-rtt", Point: faults.OptimizerCost,
-			Mode: faults.ModeLatency, Latency: rtt,
-		})
-		defer faults.Reset()
-		start := time.Now()
-		chk := core.NewOptimizerChecker(lab.Opt, w, base, slack)
-		chk.Prepared = pw
-		chk.Batch = batch
-		res, err := core.GreedyWithOptions(initial, &core.MergePairCost{Seek: seek}, chk, lab.DB, core.GreedyOptions{})
-		if err != nil {
-			return distribVariant{}, err
-		}
-		sec := time.Since(start).Seconds()
-		rb, ri, rf := chk.RemoteStats()
-		return distribVariant{
-			Seconds:         sec,
-			OptimizerCalls:  res.OptimizerCalls,
-			CostEvals:       res.CostEvaluations,
-			FinalIndexes:    res.Final.Len(),
-			RemoteBatches:   rb,
-			RemoteItems:     ri,
-			RemoteFallbacks: rf,
-			signature:       res.Final.Signature(),
-			finalBytes:      res.FinalBytes,
-		}, nil
-	}
-
-	single, err := run(nil)
-	if err != nil {
-		return distribReport{}, fmt.Errorf("single-process run: %w", err)
-	}
-	dist, err := run(binding)
-	if err != nil {
-		return distribReport{}, fmt.Errorf("distributed run: %w", err)
-	}
-
-	// The acceptance contract: distribution must be invisible in
-	// results. Identical signature, storage, and counter accounting.
-	if single.signature != dist.signature || single.finalBytes != dist.finalBytes {
-		return distribReport{}, fmt.Errorf("distributed final configuration diverged: %s (%d bytes) vs %s (%d bytes)",
-			single.signature, single.finalBytes, dist.signature, dist.finalBytes)
-	}
-	if single.OptimizerCalls != dist.OptimizerCalls || single.CostEvals != dist.CostEvals {
-		return distribReport{}, fmt.Errorf("distributed counters diverged: %d/%d optimizer calls, %d/%d cost evaluations",
-			single.OptimizerCalls, dist.OptimizerCalls, single.CostEvals, dist.CostEvals)
-	}
-	if dist.RemoteFallbacks > 0 {
-		return distribReport{}, fmt.Errorf("distributed run fell back locally %d times; benchmark would be mismeasured", dist.RemoteFallbacks)
-	}
-
-	rep := distribReport{
-		Benchmark:          "distributed what-if costing over stateless snapshot workers",
-		Env:                captureEnv(workers),
-		Scale:              scale,
-		Seed:               seed,
-		Statements:         int(c.TotalFreq()),
-		Entries:            c.Statements(),
-		Templates:          len(c.Templates),
-		InitialIndexes:     len(defs),
-		Workers:            workers,
-		SimulatedRTTMicros: float64(rtt.Microseconds()),
-		Note: "workers are in-process HTTP servers over copy-on-write snapshot forks; the per-optimizer-call " +
-			"round trip is injected deterministically (internal/faults ModeLatency) and paid wherever the call runs, " +
-			"so on this single-CPU host the speedup measures overlapping worker streams, not CPU parallelism",
-		SingleProcess:  single,
-		Distributed:    dist,
-		IdenticalFinal: true,
-	}
-	if dist.Seconds > 0 {
-		rep.Speedup = round2(single.Seconds / dist.Seconds)
 	}
 	return rep, nil
 }

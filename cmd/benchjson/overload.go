@@ -364,7 +364,7 @@ func runOverloadBench(seed int64, requests int) (overloadReport, error) {
 
 	rep := overloadReport{
 		Benchmark:            "quiet-tenant latency under a noisy neighbor with quotas and brownout",
-		Env:                  captureEnv(0),
+		Env:                  captureEnv(),
 		Seed:                 seed,
 		QuotaSessions:        maxSessions,
 		QuotaJobs:            maxJobs,

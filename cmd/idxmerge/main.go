@@ -27,7 +27,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 
 	"indexmerge"
@@ -59,7 +58,6 @@ func main() {
 	parallel := flag.Int("parallel", 1, "concurrent candidate costings per search step (0 = GOMAXPROCS); results are identical for any value")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON on stdout (the idxmerged job-result schema) and progress JSON lines on stderr")
 	resilient := flag.Bool("resilient", false, "retry transient costing faults and degrade to the analytic model on persistent optimizer failure (results carry a degraded flag)")
-	workers := flag.String("workers", "", "comma-separated what-if worker base URLs (idxmergew processes serving the same -db/-scale/-seed database); cache-missed costings are batched to the pool; results are byte-identical at any worker count")
 	faultRules := flag.String("faults", "", "deterministic fault-injection rules, semicolon-separated (chaos testing; see internal/faults)")
 	flag.Parse()
 
@@ -102,28 +100,12 @@ func main() {
 		fatal(err)
 	}
 	compressed := *costModel == "compressed"
-	templates := 0
 	if compressed {
 		cw, err := m.CompressedWorkload()
 		if err != nil {
 			fatal(err)
 		}
-		templates = len(cw.C.Templates)
 		human("%s\n", cw.C)
-	}
-
-	// Bind the worker pool before searching so incompatible workers
-	// (wrong database, wrong parse) fail loudly here rather than
-	// silently falling back mid-run. Failures after this point degrade
-	// to local costing.
-	var binding *indexmerge.WorkerBinding
-	if *workers != "" {
-		pool := indexmerge.NewWorkerPool(strings.Split(*workers, ","))
-		binding, err = pool.Bind(ctx, "cli", db.Fingerprint(), w, templates)
-		if err != nil {
-			fatal(fmt.Errorf("bind worker pool: %w", err))
-		}
-		human("worker pool: %d workers bound\n", pool.Size())
 	}
 
 	// Initial configuration. Under -costmodel compressed, whole-workload
@@ -166,7 +148,7 @@ func main() {
 		return
 	}
 
-	opts := indexmerge.MergeOptions{CostConstraint: *constraint, Parallelism: *parallel, Workers: binding}
+	opts := indexmerge.MergeOptions{CostConstraint: *constraint, Parallelism: *parallel}
 	if *resilient {
 		opts.Resilience = &indexmerge.ResilienceOptions{}
 	}

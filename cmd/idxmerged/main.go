@@ -9,8 +9,7 @@
 // Usage:
 //
 //	idxmerged [-addr :7781] [-workers 2] [-queue 8] [-cache 1048576]
-//	          [-drain-timeout 30s] [-journal path] [-faults rules]
-//	          [-cost-workers http://host:7791,http://host:7792] [-pprof]
+//	          [-drain-timeout 30s] [-journal path] [-faults rules] [-pprof]
 //	          [-retune-period 0] [-window-max 32] [-decay 0.5]
 //	          [-min-weight 0.25] [-min-improvement 0.05] [-rollback-ratio 2]
 //	          [-quota-sessions 0] [-quota-jobs 0] [-quota-ingest-rate 0]
@@ -52,7 +51,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -69,7 +67,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget for in-flight jobs")
 	journalPath := flag.String("journal", "", "session/job journal file (empty = no durability)")
 	faultRules := flag.String("faults", "", "fault-injection rules, semicolon-separated (chaos testing)")
-	costWorkers := flag.String("cost-workers", "", "comma-separated what-if worker base URLs (idxmergew); merge jobs batch costings to the pool, falling back locally on failure")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	retunePeriod := flag.Duration("retune-period", 0, "continuous sessions: background re-tune period (0 = manual retune only)")
 	windowMax := flag.Int("window-max", 0, "continuous sessions: member reservoir bound per template (0 = built-in 32)")
@@ -117,10 +114,6 @@ func main() {
 			MemoryBytes:  *quotaMemory,
 		},
 		MemoryBudgetBytes: *memoryBudget,
-	}
-	if *costWorkers != "" {
-		cfg.CostWorkers = strings.Split(*costWorkers, ",")
-		log.Info("distributed costing enabled", "cost_workers", len(cfg.CostWorkers))
 	}
 	srv, err := server.New(cfg)
 	if err != nil {

@@ -31,7 +31,6 @@ import (
 	"indexmerge/internal/catalog"
 	"indexmerge/internal/core"
 	"indexmerge/internal/core/costcache"
-	"indexmerge/internal/distrib"
 	"indexmerge/internal/engine"
 	"indexmerge/internal/optimizer"
 	"indexmerge/internal/sql"
@@ -90,21 +89,7 @@ type (
 	// (workload, statistics) pair and share across runs; see
 	// Merger.CompressedWorkload and MergeOptions.Compressed.
 	CompressedWorkload = wscale.Prepared
-	// WorkerPool is a set of what-if worker endpoints for distributed
-	// costing; see NewWorkerPool and (*WorkerPool).Bind.
-	WorkerPool = distrib.Pool
-	// WorkerBinding is a worker pool bound to one registered workload;
-	// see MergeOptions.Workers.
-	WorkerBinding = distrib.Binding
 )
-
-// NewWorkerPool builds a distributed-costing pool over what-if worker
-// base URLs ("http://host:port", cmd/idxmergew processes serving the
-// same database). Bind a workload with (*WorkerPool).Bind and pass
-// the binding via MergeOptions.Workers.
-func NewWorkerPool(urls []string) *WorkerPool {
-	return distrib.NewPool(urls, distrib.Options{})
-}
 
 // NewCostCache builds a what-if cost cache that can be shared across
 // merging runs via MergeOptions.CostCache. maxEntries bounds the
@@ -250,15 +235,6 @@ type MergeOptions struct {
 	// across jobs). Only consulted by the CompressedOptimizerCost model;
 	// when nil, the merger compresses lazily and caches the result.
 	Compressed *CompressedWorkload
-	// Workers, when non-nil, offloads cache-missed what-if costings to
-	// a bound pool of stateless worker processes (cmd/idxmergew),
-	// batched per search wave. Results are byte-identical at any worker
-	// count — remote costs install through the exact same cache and
-	// counter paths as local evaluation — and any worker failure falls
-	// back to local costing, so a run never fails because of the pool.
-	// Build with NewWorkerPool and bind the workload with
-	// (*WorkerPool).Bind.
-	Workers *WorkerBinding
 	// Resilience, when non-nil, hardens optimizer-backed costing:
 	// transient failures are retried with backoff, permanent failures
 	// trip a circuit breaker and degrade decisions to the external
@@ -416,15 +392,6 @@ type MergeResult struct {
 	// its admissible lower bound, without exact costing (0 for other
 	// models).
 	PrunedChecks int64
-	// RemoteBatches / RemoteItems count costing batches and items
-	// (per-query costs or template atoms) served by the worker pool;
-	// RemoteFallbacks counts batches that failed remotely and were
-	// transparently re-costed locally. All 0 without
-	// MergeOptions.Workers. These describe where work ran, not what it
-	// produced — every other field is identical at any worker count.
-	RemoteBatches   int64
-	RemoteItems     int64
-	RemoteFallbacks int64
 }
 
 // CostIncrease is the fractional workload cost growth.
@@ -444,10 +411,6 @@ func (r *MergeResult) Report() string {
 	if r.Templates > 0 {
 		fmt.Fprintf(&b, "compress: %d templates (%.1fx dedup), cost table %d hits / %d misses, %d pruned\n",
 			r.Templates, r.DedupRatio, r.CostTableHits, r.CostTableMisses, r.PrunedChecks)
-	}
-	if r.RemoteBatches > 0 || r.RemoteFallbacks > 0 {
-		fmt.Fprintf(&b, "distrib:  %d remote batches (%d items), %d local fallbacks\n",
-			r.RemoteBatches, r.RemoteItems, r.RemoteFallbacks)
 	}
 	for _, s := range r.Steps {
 		fmt.Fprintf(&b, "  merged %s + %s -> %s\n", s.ParentA, s.ParentB, s.Result)
@@ -543,14 +506,7 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 	var ext *core.ExternalCostModel
 	var compressed *CompressedWorkload
 	var compChecker *wscale.Checker
-	var optChecker *core.OptimizerChecker
 	var compHits0, compMisses0 int64
-	var compRB0, compRI0, compRF0 int64
-	// Interface-typed remote so a nil binding stays a nil interface.
-	var remote wscale.RemoteCoster
-	if opts.Workers != nil {
-		remote = opts.Workers
-	}
 	switch opts.CostModel {
 	case NoCost:
 		check = &core.NoCostChecker{F: opts.NoCostF, P: opts.NoCostP, Tables: m.db}
@@ -559,20 +515,18 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 		if err != nil {
 			return nil, err
 		}
-		compRB0, compRI0, compRF0 = compressed.RemoteStats()
 		// The constraint bound derives from the decomposed baseline (the
 		// template-order total), keeping the checker's delta totals and U
 		// on the same summation; it differs from baseCost only in the
 		// last ulp.
 		compBase, err := resilientEval(opts.Resilience, out, func() (float64, error) {
-			return compressed.WorkloadCostRemoteContext(ctx, initial, remote)
+			return compressed.WorkloadCostContext(ctx, initial)
 		})
 		if err != nil {
 			return nil, err
 		}
 		compChecker = wscale.NewChecker(compressed, compBase, opts.CostConstraint)
 		compChecker.Parallelism = opts.Parallelism
-		compChecker.Remote = remote
 		check = compChecker
 		bound = compChecker.U
 		compHits0, compMisses0, _ = compressed.TableStats()
@@ -582,41 +536,27 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 			resilient = opts.Resilience.wrap(compChecker, ext, opts.CostConstraint)
 			check = resilient
 		}
-	case PrefilteredOptimizerCost:
+	default: // OptimizerCost and PrefilteredOptimizerCost
 		inner := core.NewOptimizerChecker(m.opt, m.w, baseCost, opts.CostConstraint)
 		inner.Parallelism = opts.Parallelism
 		inner.Cache = opts.CostCache
 		inner.KeyNamespace = opts.CacheNamespace
 		inner.Prepared = pw
-		if opts.Workers != nil {
-			inner.Batch = opts.Workers
-		}
-		optChecker = inner
-		ext = &core.ExternalCostModel{Meta: m.db, W: m.w}
-		ext.SetBaseline(initial)
-		pre := &core.PrefilteredChecker{External: ext, Inner: inner, SlackPct: opts.CostConstraint}
-		check = pre
 		bound = inner.U
-		if opts.Resilience != nil {
-			resilient = opts.Resilience.wrap(pre, ext, opts.CostConstraint)
-			check = resilient
-		}
-	default:
-		inner := core.NewOptimizerChecker(m.opt, m.w, baseCost, opts.CostConstraint)
-		inner.Parallelism = opts.Parallelism
-		inner.Cache = opts.CostCache
-		inner.KeyNamespace = opts.CacheNamespace
-		inner.Prepared = pw
-		if opts.Workers != nil {
-			inner.Batch = opts.Workers
-		}
-		optChecker = inner
-		check = inner
-		bound = inner.U
-		if opts.Resilience != nil {
+		if opts.CostModel == PrefilteredOptimizerCost || opts.Resilience != nil {
 			ext = &core.ExternalCostModel{Meta: m.db, W: m.w}
 			ext.SetBaseline(initial)
-			resilient = opts.Resilience.wrap(inner, ext, opts.CostConstraint)
+		}
+		var costed interface {
+			core.ConstraintChecker
+			core.ContextChecker
+		} = inner
+		if opts.CostModel == PrefilteredOptimizerCost {
+			costed = &core.PrefilteredChecker{External: ext, Inner: inner, SlackPct: opts.CostConstraint}
+		}
+		check = costed
+		if opts.Resilience != nil {
+			resilient = opts.Resilience.wrap(costed, ext, opts.CostConstraint)
 			check = resilient
 		}
 	}
@@ -642,15 +582,6 @@ func (m *Merger) merge(ctx context.Context, initial *core.Configuration, opts Me
 		out.CostTableHits = hits - compHits0
 		out.CostTableMisses = misses - compMisses0
 		out.PrunedChecks = compChecker.PrunedChecks()
-		// Deltas: the Prepared (and its remote counters) may be shared
-		// across runs by the advisor service.
-		rb, ri, rf := compressed.RemoteStats()
-		out.RemoteBatches = rb - compRB0
-		out.RemoteItems = ri - compRI0
-		out.RemoteFallbacks = rf - compRF0
-	}
-	if optChecker != nil {
-		out.RemoteBatches, out.RemoteItems, out.RemoteFallbacks = optChecker.RemoteStats()
 	}
 	if resilient != nil {
 		out.Degraded = out.Degraded || resilient.Degraded()

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime/debug"
 	"slices"
 	"strings"
@@ -112,17 +111,6 @@ type OptimizerChecker struct {
 	// PreparedCostServer (optimizer.Optimizer does).
 	Prepared *optimizer.PreparedWorkload
 
-	// Batch, when non-nil, offloads cache-missed per-query costings to
-	// a pool of what-if worker processes in one batched round trip
-	// before the local evaluation path runs (internal/distrib provides
-	// the implementation). Workers run the same costing code over
-	// identically-built statistics, so remote costs are bit-identical
-	// to local ones; results are installed through the same cache path
-	// with the same counter accounting, and any RPC failure falls back
-	// to local costing — the search result never depends on whether or
-	// where a batch was dispatched. Set before the first evaluation.
-	Batch BatchCostServer
-
 	once     sync.Once
 	cache    *costcache.Cache
 	sem      chan struct{} // tokens for actual optimizer invocations
@@ -135,21 +123,6 @@ type OptimizerChecker struct {
 
 	checks   atomic.Int64 // constraint checks (Accepts/WorkloadCost calls)
 	optCalls atomic.Int64 // actual Server.Optimize invocations
-
-	remoteBatches   atomic.Int64 // batched RPCs dispatched to workers
-	remoteItems     atomic.Int64 // queries costed remotely
-	remoteFallbacks atomic.Int64 // batches that fell back to local costing
-}
-
-// BatchCostServer costs a batch of workload queries (by position)
-// under one hypothetical configuration in a single round trip —
-// the coordinator→worker-pool contract for distributed what-if
-// costing. Implementations must return exactly len(queries) finite
-// costs, each bit-identical to what the local prepared fast path
-// would produce for the same (query, configuration); on any doubt
-// they should return an error and let the caller cost locally.
-type BatchCostServer interface {
-	CostQueryBatch(ctx context.Context, queries []int, defs []catalog.IndexDef) ([]float64, error)
 }
 
 // NewOptimizerChecker builds a checker with U = baseCost × (1 + slackPct).
@@ -266,9 +239,6 @@ func (c *OptimizerChecker) WorkloadCostContext(ctx context.Context, cfg *Configu
 	}
 	sc.misses = misses
 
-	if len(misses) > 0 && c.Batch != nil && c.batchMisses(ctx, misses, keys, costs, cfg.Defs()) {
-		misses = misses[:0]
-	}
 	if len(misses) > 0 {
 		// Prepared: each missed query is costed against its relevant
 		// indexes alone, gathered into one pooled buffer. Unprepared:
@@ -319,47 +289,6 @@ func (c *OptimizerChecker) WorkloadCostContext(ctx context.Context, cfg *Configu
 		total += costs[qi] * q.Freq
 	}
 	return total, nil
-}
-
-// batchMisses offloads the cache-missed queries to the worker pool in
-// one batched RPC. Results are installed through the same cache Do
-// path as local evaluation — counting one optimizer call per computed
-// query — so cache contents and counters stay byte-identical to a
-// local run. Any RPC error, short response, or non-finite cost
-// returns false with costs untouched; the caller then costs locally.
-func (c *OptimizerChecker) batchMisses(ctx context.Context, misses []int, keys []string, costs []float64, defs []catalog.IndexDef) bool {
-	vals, err := c.Batch.CostQueryBatch(ctx, misses, defs)
-	if err != nil || len(vals) != len(misses) {
-		c.remoteFallbacks.Add(1)
-		return false
-	}
-	for _, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			c.remoteFallbacks.Add(1)
-			return false
-		}
-	}
-	for i, qi := range misses {
-		v, err := c.cache.Do(strings.Clone(keys[qi]), func() (float64, error) {
-			c.optCalls.Add(1)
-			return vals[i], nil
-		})
-		if err != nil {
-			c.remoteFallbacks.Add(1)
-			return false
-		}
-		costs[qi] = v
-	}
-	c.remoteBatches.Add(1)
-	c.remoteItems.Add(int64(len(misses)))
-	return true
-}
-
-// RemoteStats reports distributed-costing activity: batched RPCs
-// dispatched, queries costed remotely, and batches that fell back to
-// local costing.
-func (c *OptimizerChecker) RemoteStats() (batches, items, fallbacks int64) {
-	return c.remoteBatches.Load(), c.remoteItems.Load(), c.remoteFallbacks.Load()
 }
 
 // evalMisses runs eval for miss positions 0..n-1, concurrently when

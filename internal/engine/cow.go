@@ -3,14 +3,12 @@
 // every heap page, index and statistics object with the frozen origin
 // while keeping their own catalog-of-indexes and statistics maps. One
 // loaded database can this way serve many concurrent idxmerged
-// sessions — and ship to stateless what-if workers — without rebuilds
-// (ROADMAP item 3).
+// sessions without rebuilds.
 package engine
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"maps"
 	"sort"
@@ -99,15 +97,13 @@ func (db *Database) mutableIndexes() error {
 	return nil
 }
 
-// Fingerprint summarizes the database for coordinator/worker
-// compatibility checks: FNV-1a over the sorted schema (table, column
-// names/types/widths), per-table row counts and heap bytes, the
-// sorted materialized index keys, and the statistics build options
-// and version. Two processes that build the same database through the
+// Fingerprint summarizes the database's identity: FNV-1a over the
+// sorted schema (table, column names/types/widths), per-table row
+// counts and heap bytes, the sorted materialized index keys, and the
+// statistics build options and version. Two processes that build the same database through the
 // same deterministic path (a snapshot file, or a named generator with
-// identical scale and seed) agree on it; a worker whose fingerprint
-// differs from the coordinator's must not be trusted to return
-// identical what-if costs.
+// identical scale and seed) agree on it, and so return identical
+// what-if costs.
 func (db *Database) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -156,7 +152,3 @@ func (db *Database) Fingerprint() uint64 {
 	u64(db.statsVersion.Load())
 	return h.Sum64()
 }
-
-// FingerprintString renders a fingerprint the way the worker protocol
-// transports it (hexadecimal, to survive JSON's float64 numbers).
-func FingerprintString(fp uint64) string { return fmt.Sprintf("%016x", fp) }

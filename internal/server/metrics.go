@@ -77,13 +77,6 @@ type Metrics struct {
 	costEvaluations atomic.Int64
 	jobAllocs       atomic.Int64 // Mallocs deltas summed over finished jobs (approximate)
 
-	// Distributed-costing counters, summed over finished jobs: batches
-	// and items served by the worker pool, and batches that fell back
-	// to local costing.
-	remoteBatches   atomic.Int64
-	remoteItems     atomic.Int64
-	remoteFallbacks atomic.Int64
-
 	// Continuous-mode counters: ingested batches/statements and the
 	// control loop's applies, rollbacks and re-tune cycles.
 	ingestBatches    atomic.Int64
@@ -221,22 +214,9 @@ type OverloadGauges struct {
 	Tenants        []TenantGauges
 }
 
-// PoolGauges snapshots the distributed-costing worker pool for the
-// metrics scrape (nil pool = the section is omitted).
-type PoolGauges struct {
-	Workers   int
-	Healthy   int
-	Batches   int64
-	Items     int64
-	RPCs      int64
-	RPCErrors int64
-	Hedges    int64
-}
-
 // Write emits every series. Gauges are gathered by the caller at
-// scrape time (sessions, the job manager and the worker pool own that
-// state).
-func (m *Metrics) Write(w io.Writer, jg JobGauges, sessions []SessionGauges, pool *PoolGauges, og *OverloadGauges, snapshotReuses int64, residentSnapshots int) {
+// scrape time (sessions and the job manager own that state).
+func (m *Metrics) Write(w io.Writer, jg JobGauges, sessions []SessionGauges, og *OverloadGauges, snapshotReuses int64, residentSnapshots int) {
 	fmt.Fprintln(w, "# TYPE idxmerged_http_requests_total counter")
 	m.mu.Lock()
 	reqKeys := make([]string, 0, len(m.requests))
@@ -404,29 +384,6 @@ func (m *Metrics) Write(w io.Writer, jg JobGauges, sessions []SessionGauges, poo
 			fmt.Fprintf(w, "idxmerged_tenant_bytes{tenant=%q} %d\n", t.Tenant, t.Bytes)
 			fmt.Fprintf(w, "idxmerged_tenant_ingest_shed_total{tenant=%q} %d\n", t.Tenant, t.IngestShed)
 		}
-	}
-
-	fmt.Fprintln(w, "# TYPE idxmerged_remote_batches_total counter")
-	fmt.Fprintf(w, "idxmerged_remote_batches_total %d\n", m.remoteBatches.Load())
-	fmt.Fprintln(w, "# TYPE idxmerged_remote_items_total counter")
-	fmt.Fprintf(w, "idxmerged_remote_items_total %d\n", m.remoteItems.Load())
-	fmt.Fprintln(w, "# TYPE idxmerged_remote_fallbacks_total counter")
-	fmt.Fprintf(w, "idxmerged_remote_fallbacks_total %d\n", m.remoteFallbacks.Load())
-	if pool != nil {
-		fmt.Fprintln(w, "# TYPE idxmerged_pool_workers gauge")
-		fmt.Fprintf(w, "idxmerged_pool_workers %d\n", pool.Workers)
-		fmt.Fprintln(w, "# TYPE idxmerged_pool_workers_healthy gauge")
-		fmt.Fprintf(w, "idxmerged_pool_workers_healthy %d\n", pool.Healthy)
-		fmt.Fprintln(w, "# TYPE idxmerged_pool_batches_total counter")
-		fmt.Fprintf(w, "idxmerged_pool_batches_total %d\n", pool.Batches)
-		fmt.Fprintln(w, "# TYPE idxmerged_pool_items_total counter")
-		fmt.Fprintf(w, "idxmerged_pool_items_total %d\n", pool.Items)
-		fmt.Fprintln(w, "# TYPE idxmerged_pool_rpcs_total counter")
-		fmt.Fprintf(w, "idxmerged_pool_rpcs_total %d\n", pool.RPCs)
-		fmt.Fprintln(w, "# TYPE idxmerged_pool_rpc_errors_total counter")
-		fmt.Fprintf(w, "idxmerged_pool_rpc_errors_total %d\n", pool.RPCErrors)
-		fmt.Fprintln(w, "# TYPE idxmerged_pool_hedges_total counter")
-		fmt.Fprintf(w, "idxmerged_pool_hedges_total %d\n", pool.Hedges)
 	}
 
 	fmt.Fprintln(w, "# TYPE idxmerged_search_seconds histogram")

@@ -15,7 +15,6 @@ import (
 	"indexmerge"
 	"indexmerge/internal/advisor"
 	"indexmerge/internal/catalog"
-	"indexmerge/internal/distrib"
 	"indexmerge/internal/optimizer"
 	"indexmerge/internal/server/quota"
 	"indexmerge/internal/sql"
@@ -43,12 +42,6 @@ type Config struct {
 	// as pollable records, and jobs interrupted by a crash are marked
 	// failed with an explicit recovery reason.
 	JournalPath string
-	// CostWorkers lists what-if worker base URLs (cmd/idxmergew
-	// processes serving the same database specs as this server's
-	// sessions). When set, merge jobs batch cache-missed costings to
-	// the pool; results are byte-identical at any worker count and any
-	// worker failure falls back to local costing.
-	CostWorkers []string
 	// Continuous holds the server-level defaults for continuous
 	// sessions (flag-configurable); a session's own spec overrides them
 	// field by field.
@@ -74,7 +67,6 @@ type Server struct {
 	log     *slog.Logger
 	mux     *http.ServeMux
 	journal *Journal
-	pool    *distrib.Pool // nil without Config.CostWorkers
 
 	// memBudget is the global accounted-memory budget behind the
 	// brownout ladder (<= 0 = no memory pressure); stage is the
@@ -101,16 +93,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
-	var pool *distrib.Pool
-	if len(cfg.CostWorkers) > 0 {
-		pool = distrib.NewPool(cfg.CostWorkers, distrib.Options{})
-	}
 	s := &Server{
-		reg:       NewRegistry(cfg.CacheMaxEntries, pool, cfg.Continuous, quota.NewController(cfg.Quota)),
+		reg:       NewRegistry(cfg.CacheMaxEntries, cfg.Continuous, quota.NewController(cfg.Quota)),
 		metrics:   NewMetrics(),
 		log:       cfg.Logger,
 		mux:       http.NewServeMux(),
-		pool:      pool,
 		memBudget: cfg.MemoryBudgetBytes,
 	}
 	s.jobs = NewManager(cfg.Workers, cfg.QueueCap, s.metrics, s.log)
@@ -446,14 +433,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for i, sess := range sessions {
 		gauges[i] = sess.gauges()
 	}
-	var pg *PoolGauges
-	if s.pool != nil {
-		st := s.pool.PoolStats()
-		pg = &PoolGauges{
-			Workers: st.Workers, Healthy: st.Healthy, Batches: st.Batches,
-			Items: st.Items, RPCs: st.RPCs, RPCErrors: st.RPCErrors, Hedges: st.Hedges,
-		}
-	}
 	og := &OverloadGauges{
 		BrownoutStage:  int(s.stage.Load()),
 		AccountedBytes: s.reg.totalBytes(),
@@ -461,7 +440,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Tenants:        s.reg.tenantGauges(),
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.Write(w, s.jobs.Gauges(), gauges, pg, og, s.reg.SnapshotReuses(), s.reg.ResidentSnapshots())
+	s.metrics.Write(w, s.jobs.Gauges(), gauges, og, s.reg.SnapshotReuses(), s.reg.ResidentSnapshots())
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
@@ -872,7 +851,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		s.writeQuotaErr(w, sess.tenant, v)
 		return
 	}
-	run := s.buildJobRun(kind, sess, req.Workload, rw, initial, explicitDefs, opts, req.Options.DualBudgetFrac)
+	run := s.buildJobRun(kind, sess, rw, initial, explicitDefs, opts, req.Options.DualBudgetFrac)
 	tenant := sess.tenant
 	job, err := s.jobs.Submit(kind, sess, req.Workload, SubmitOpts{
 		Tenant:  tenant,
@@ -957,7 +936,7 @@ func buildMergeOptions(o JobOptions) (indexmerge.MergeOptions, error) {
 // costs across the session's jobs, and merge jobs reuse the workload's
 // registration-time prepared descriptors (prepared once per session,
 // shared across jobs; the prepared path is bit-identical).
-func (s *Server) buildJobRun(kind string, sess *Session, workloadName string, rw *registeredWorkload,
+func (s *Server) buildJobRun(kind string, sess *Session, rw *registeredWorkload,
 	initial InitialSpec, explicitDefs []catalog.IndexDef, opts indexmerge.MergeOptions,
 	dualFrac float64) func(ctx context.Context, j *Job) (*JobResult, error) {
 
@@ -1045,19 +1024,11 @@ func (s *Server) buildJobRun(kind string, sess *Session, workloadName string, rw
 			// succeeds.
 			opts.Resilience.Breaker = sess.breaker
 		}
-		// Distributed costing: bound once per (session, workload). The
-		// result payload carries no remote counters — it is byte-
-		// identical at any worker count — so remote activity is
-		// aggregated into /metrics instead.
-		opts.Workers = sess.bindWorkers(ctx, workloadName, rw, s.log)
 
 		res, err := m.MergeDefsContext(ctx, defs, opts)
 		if err != nil {
 			return nil, err
 		}
-		s.metrics.remoteBatches.Add(res.RemoteBatches)
-		s.metrics.remoteItems.Add(res.RemoteItems)
-		s.metrics.remoteFallbacks.Add(res.RemoteFallbacks)
 		p := NewMergeResultPayload(res)
 		return &JobResult{Merge: &p}, nil
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"os"
 	"sort"
 	"strings"
@@ -15,7 +14,6 @@ import (
 	"indexmerge/internal/core"
 	"indexmerge/internal/core/costcache"
 	"indexmerge/internal/datagen"
-	"indexmerge/internal/distrib"
 	"indexmerge/internal/engine"
 	"indexmerge/internal/optimizer"
 	"indexmerge/internal/server/quota"
@@ -61,8 +59,6 @@ type Session struct {
 	tenant    string
 	dbName    string
 	db        *engine.Database
-	fp        uint64 // database fingerprint, captured at creation
-	pool      *distrib.Pool
 	cache     *costcache.Cache
 	createdAt time.Time
 	deleted   atomic.Bool
@@ -114,39 +110,6 @@ type registeredWorkload struct {
 	// never serve what-if costs computed for the previous queries —
 	// even to a job that raced the replacement.
 	ns string
-
-	// binding is the workload's lazily-created worker-pool binding
-	// (nil without a pool, or after a failed bind — the bind is
-	// attempted once; jobs then cost locally).
-	bindOnce sync.Once
-	binding  *distrib.Binding
-}
-
-// bindWorkers returns the workload's worker-pool binding, binding on
-// first use. The binding is named session/workload so one pool serves
-// many sessions without name collisions. A failed bind is logged once
-// and never retried: jobs on this workload then run with local
-// costing, which is byte-identical anyway.
-func (s *Session) bindWorkers(ctx context.Context, name string, rw *registeredWorkload, log *slog.Logger) *distrib.Binding {
-	if s.pool == nil {
-		return nil
-	}
-	rw.bindOnce.Do(func() {
-		templates := 0
-		if rw.compressed != nil {
-			templates = len(rw.compressed.C.Templates)
-		}
-		b, err := s.pool.Bind(ctx, s.name+"/"+name, s.fp, rw.w, templates)
-		if err != nil {
-			if log != nil {
-				log.Warn("worker pool bind failed; jobs will cost locally",
-					"session", s.name, "workload", name, "err", err)
-			}
-			return
-		}
-		rw.binding = b
-	})
-	return rw.binding
 }
 
 // acquire takes the session's job slot, abandoning the wait when ctx
@@ -344,18 +307,16 @@ type Registry struct {
 	sessions     map[string]*Session
 	building     map[string]bool   // names reserved while their DB builds
 	cacheMax     int               // per-session cost cache bound (entries)
-	pool         *distrib.Pool     // shared what-if worker pool (nil = local costing)
 	contDefaults ContinuousSpec    // server-level continuous-mode defaults
 	quota        *quota.Controller // per-tenant admission control
 	snaps        snapshotCache
 }
 
 // NewRegistry creates an empty registry. cacheMax bounds each
-// session's cost cache (<= 0 means unbounded); pool, when non-nil, is
-// the shared what-if worker pool sessions bind workloads against;
-// contDefaults fills unset fields of session continuous specs; qc is
-// the per-tenant admission controller (never nil in a Server).
-func NewRegistry(cacheMax int, pool *distrib.Pool, contDefaults ContinuousSpec, qc *quota.Controller) *Registry {
+// session's cost cache (<= 0 means unbounded); contDefaults fills
+// unset fields of session continuous specs; qc is the per-tenant
+// admission controller (never nil in a Server).
+func NewRegistry(cacheMax int, contDefaults ContinuousSpec, qc *quota.Controller) *Registry {
 	if qc == nil {
 		qc = quota.NewController(quota.Limits{})
 	}
@@ -363,7 +324,6 @@ func NewRegistry(cacheMax int, pool *distrib.Pool, contDefaults ContinuousSpec, 
 		sessions:     make(map[string]*Session),
 		building:     make(map[string]bool),
 		cacheMax:     cacheMax,
-		pool:         pool,
 		contDefaults: contDefaults,
 		quota:        qc,
 	}
@@ -594,8 +554,6 @@ func (r *Registry) Create(req CreateSessionRequest) (*Session, error) {
 		tenant:    tenant,
 		dbName:    req.DB,
 		db:        db,
-		fp:        db.Fingerprint(),
-		pool:      r.pool,
 		cache:     costcache.NewBounded(0, r.cacheMax),
 		tableMax:  r.cacheMax,
 		breaker:   &core.Breaker{},

@@ -27,14 +27,6 @@ type Checker struct {
 	// filling cost-table misses. <= 1 is serial.
 	Parallelism int
 
-	// Remote, when non-nil, batches cost-table misses to a pool of
-	// what-if worker processes instead of sweeping members locally.
-	// Totals, table contents and counters are byte-identical either
-	// way, and any remote failure falls back to the local sweep, so
-	// the search result never depends on the worker count. Set before
-	// the first evaluation.
-	Remote RemoteCoster
-
 	mu          sync.Mutex
 	pendingBase *core.Configuration
 	bs          *baseState
@@ -118,7 +110,7 @@ func (c *Checker) ensureBase(ctx context.Context) (*baseState, error) {
 	// Concurrent first checks of one wave may both compute the base;
 	// the cost table deduplicates the underlying member sweeps and both
 	// arrive at identical state.
-	costs, total, err := c.P.templateCosts(ctx, pb, c.Parallelism, &c.optCalls, c.Remote)
+	costs, total, err := c.P.templateCosts(ctx, pb, c.Parallelism, &c.optCalls)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +178,7 @@ func (c *Checker) AcceptsContext(ctx context.Context, cfg *core.Configuration, m
 	}
 	if bs == nil || m == nil || a == nil || b == nil || !derivedFromBase(bs, cfg, m, a, b) {
 		c.fullChecks.Add(1)
-		_, total, err := c.P.templateCosts(ctx, cfg, c.Parallelism, &c.optCalls, c.Remote)
+		_, total, err := c.P.templateCosts(ctx, cfg, c.Parallelism, &c.optCalls)
 		if err != nil {
 			return false, err
 		}
@@ -223,7 +215,7 @@ func (c *Checker) AcceptsContext(ctx context.Context, cfg *core.Configuration, m
 			c.pruned.Add(1)
 			return false, nil
 		}
-		if err := c.P.fillMisses(ctx, misses, costs, c.Parallelism, &c.optCalls, c.Remote); err != nil {
+		if err := c.P.fillMisses(ctx, misses, costs, c.Parallelism, &c.optCalls); err != nil {
 			return false, err
 		}
 	}

@@ -3,7 +3,6 @@ package wscale
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -74,10 +73,6 @@ type Prepared struct {
 	nextBE []int          // per template, next ring slot
 
 	optCalls atomic.Int64
-
-	remoteBatches   atomic.Int64 // batched RPCs dispatched to workers
-	remoteAtoms     atomic.Int64 // atoms costed remotely
-	remoteFallbacks atomic.Int64 // batches that fell back to local sweeps
 }
 
 // relKey memoizes template-index relevance by definition key, which is
@@ -114,8 +109,6 @@ func Prepare(c *Compressed, pw *optimizer.PreparedWorkload, srv CostServer, maxE
 // re-tune over a drifted window therefore re-prices only templates
 // whose member set changed (epoch bump) or that it has never seen —
 // everything else is a table hit, no matter how the weights moved.
-// Remote (worker-pool) filling is not supported in window mode; the
-// caller must not set a RemoteCoster.
 func PrepareWindowed(snap *WindowSnapshot, srv CostServer, table *costcache.Cache) (*Prepared, error) {
 	if len(snap.PW.Queries) != len(snap.W.Queries) {
 		return nil, fmt.Errorf("wscale: window snapshot has %d prepared queries, %d workload entries",
@@ -359,22 +352,14 @@ func (p *Prepared) WorkloadCost(cfg *core.Configuration) (float64, error) {
 
 // WorkloadCostContext is WorkloadCost under a context.
 func (p *Prepared) WorkloadCostContext(ctx context.Context, cfg *core.Configuration) (float64, error) {
-	return p.WorkloadCostRemoteContext(ctx, cfg, nil)
-}
-
-// WorkloadCostRemoteContext is WorkloadCostContext with cost-table
-// misses batched to a worker pool (identical totals; local fallback
-// on any failure).
-func (p *Prepared) WorkloadCostRemoteContext(ctx context.Context, cfg *core.Configuration, remote RemoteCoster) (float64, error) {
-	_, total, err := p.templateCosts(ctx, cfg, 1, nil, remote)
+	_, total, err := p.templateCosts(ctx, cfg, 1, nil)
 	return total, err
 }
 
 // templateCosts prices every template under cfg, filling table misses
-// remotely (when remote is non-nil) or with up to parallelism
-// concurrent member sweeps, and returns the per-template costs plus
-// their template-order sum.
-func (p *Prepared) templateCosts(ctx context.Context, cfg *core.Configuration, parallelism int, calls *atomic.Int64, remote RemoteCoster) ([]float64, float64, error) {
+// with up to parallelism concurrent member sweeps, and returns the
+// per-template costs plus their template-order sum.
+func (p *Prepared) templateCosts(ctx context.Context, cfg *core.Configuration, parallelism int, calls *atomic.Int64) ([]float64, float64, error) {
 	n := len(p.C.Templates)
 	costs := make([]float64, n)
 	var misses []pendingAtom
@@ -389,7 +374,7 @@ func (p *Prepared) templateCosts(ctx context.Context, cfg *core.Configuration, p
 		}
 		misses = append(misses, pendingAtom{ti: ti, key: key, defs: defs, keys: keys})
 	}
-	if err := p.fillMisses(ctx, misses, costs, parallelism, calls, remote); err != nil {
+	if err := p.fillMisses(ctx, misses, costs, parallelism, calls); err != nil {
 		return nil, 0, err
 	}
 	total := 0.0
@@ -408,93 +393,11 @@ type pendingAtom struct {
 	keys []string
 }
 
-// RemoteAtom is one (template, atomic-configuration) pair shipped to
-// a what-if worker pool for exact costing.
-type RemoteAtom struct {
-	Template int
-	Defs     []catalog.IndexDef
-}
-
-// RemoteCoster prices a batch of template atoms in a single round
-// trip — the coordinator→worker-pool contract for distributed
-// cost-table filling (internal/distrib provides the implementation).
-// Each returned cost must be the exact member sum Σ Freq ×
-// CostPrepared the local sweep would produce, bit for bit;
-// implementations in doubt return an error and the caller sweeps
-// locally.
-type RemoteCoster interface {
-	CostTemplateBatch(ctx context.Context, atoms []RemoteAtom) ([]float64, error)
-}
-
-// fillMissesRemote installs every pending atom from one batched
-// worker-pool call, through the same cost-table Do path — and with
-// the same optimizer-call accounting (one per template member) — as
-// the local sweep, so table contents and counters stay byte-identical
-// to a local run. Returns false, with costs untouched, on any RPC
-// error, short response, or non-finite cost.
-func (p *Prepared) fillMissesRemote(ctx context.Context, misses []pendingAtom, costs []float64, calls *atomic.Int64, remote RemoteCoster) bool {
-	atoms := make([]RemoteAtom, len(misses))
-	for i, m := range misses {
-		atoms[i] = RemoteAtom{Template: m.ti, Defs: m.defs}
-	}
-	vals, err := remote.CostTemplateBatch(ctx, atoms)
-	if err != nil || len(vals) != len(misses) {
-		return false
-	}
-	for _, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	for i, m := range misses {
-		m := m
-		v, err := p.table.Do(m.key, func() (float64, error) {
-			n := int64(len(p.C.Templates[m.ti].Members))
-			p.optCalls.Add(n)
-			if calls != nil {
-				calls.Add(n)
-			}
-			return vals[i], nil
-		})
-		if err != nil {
-			return false
-		}
-		costs[m.ti] = v
-		p.recordBound(m.ti, m.keys, v)
-	}
-	return true
-}
-
-// RemoteStats reports distributed cost-table activity: batched RPCs
-// dispatched, atoms costed remotely, and batches that fell back to
-// the local member sweep.
-func (p *Prepared) RemoteStats() (batches, atoms, fallbacks int64) {
-	return p.remoteBatches.Load(), p.remoteAtoms.Load(), p.remoteFallbacks.Load()
-}
-
-// fillMisses computes the pending atoms exactly — in one batched
-// worker-pool round trip when remote is non-nil (falling back locally
-// on any failure), otherwise with up to parallelism concurrent member
-// sweeps.
-func (p *Prepared) fillMisses(ctx context.Context, misses []pendingAtom, costs []float64, parallelism int, calls *atomic.Int64, remote RemoteCoster) error {
+// fillMisses computes the pending atoms exactly with up to parallelism
+// concurrent member sweeps.
+func (p *Prepared) fillMisses(ctx context.Context, misses []pendingAtom, costs []float64, parallelism int, calls *atomic.Int64) error {
 	if len(misses) == 0 {
 		return nil
-	}
-	if p.scales != nil {
-		// Window mode stores unweighted sums; the remote protocol ships
-		// weighted ones. Local sweeps only.
-		remote = nil
-	}
-	if remote != nil {
-		if p.fillMissesRemote(ctx, misses, costs, calls, remote) {
-			p.remoteBatches.Add(1)
-			p.remoteAtoms.Add(int64(len(misses)))
-			return nil
-		}
-		p.remoteFallbacks.Add(1)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 	}
 	eval := func(i int) error {
 		m := misses[i]
